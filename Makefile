@@ -3,9 +3,11 @@
 
 GO ?= go
 
-# Packages the concurrent scheduling pipeline and the /v1 gateway touch;
-# they get the -race treatment on every CI run.
-RACE_PKGS := ./internal/sched/... ./internal/cluster/... ./internal/core/... ./internal/meta/... ./internal/gateway/... ./internal/obs/... ./internal/replica/... ./client/...
+# Packages the concurrent scheduling pipeline and the /v1 gateway touch,
+# plus the scoring packages whose shared state is filled lazily by
+# concurrent scorers (prepared canaries, cached distance matrices); they
+# get the -race treatment on every CI run.
+RACE_PKGS := ./internal/sched/... ./internal/cluster/... ./internal/core/... ./internal/meta/... ./internal/gateway/... ./internal/obs/... ./internal/replica/... ./client/... ./internal/fidelity/... ./internal/graph/... ./internal/quantum/stabilizer/...
 
 # Benchmarks the CI regression guard re-runs with -count=$(BENCH_COUNT)
 # for median comparison (the full suite takes minutes; the guard only

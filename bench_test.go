@@ -831,6 +831,66 @@ func BenchmarkVF2RingIn100Q(b *testing.B) {
 	}
 }
 
+// coldSweepCircuit returns the k-th of an endless sequence of distinct
+// circuits, cycling through the cold-fleet mix: Bernstein-Vazirani secrets,
+// QAOA rings and random circuits.
+func coldSweepCircuit(k int) *circuit.Circuit {
+	switch k % 3 {
+	case 0:
+		return workload.BernsteinVazirani(7+k/189, uint64(1+(k/3)%63))
+	case 1:
+		return workload.QAOARing(4, 1, int64(k))
+	default:
+		return workload.RandomCircuit("rc", 4, 5, int64(k))
+	}
+}
+
+// BenchmarkColdFleetSweep is the "Meta-Server score: cold" layer bench:
+// each iteration scores a circuit the server has never seen against the
+// full Table 2 fleet through ScoreBatch, so every (job, backend) pair
+// misses the score cache and runs canary simulation. Fleet, server and
+// job metadata are built before the timer starts.
+func BenchmarkColdFleetSweep(b *testing.B) {
+	fleet, err := device.GenerateFleet(device.DefaultFleetSpec())
+	if err != nil {
+		b.Fatal(err)
+	}
+	srv := meta.NewServer(meta.Options{})
+	names := make([]string, len(fleet))
+	for i, dev := range fleet {
+		if err := srv.RegisterBackend(dev); err != nil {
+			b.Fatal(err)
+		}
+		names[i] = dev.Name
+	}
+	jobs := make([]string, b.N)
+	for i := range jobs {
+		src, err := qasm.Dump(coldSweepCircuit(i))
+		if err != nil {
+			b.Fatal(err)
+		}
+		jobs[i] = fmt.Sprintf("cold-%d", i)
+		if err := srv.PutJobMeta(meta.JobMeta{
+			JobName: jobs[i], Strategy: api.StrategyFidelity, TargetFidelity: 1, CircuitQASM: src,
+		}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		scored := 0
+		for _, r := range srv.ScoreBatch(jobs[i], names, 0) {
+			if r.Error == "" {
+				scored++
+			}
+		}
+		if scored == 0 {
+			b.Fatalf("job %s scored on no backend", jobs[i])
+		}
+	}
+}
+
 // BenchmarkCanaryFidelity measures one canary evaluation (the Meta
 // Server's unit of scoring work) on a mid-size device.
 func BenchmarkCanaryFidelity(b *testing.B) {

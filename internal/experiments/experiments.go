@@ -290,21 +290,20 @@ func Fig7(cfg Config) ([]Fig7Row, error) {
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	var rows []Fig7Row
+	base := fidelity.Estimator{Shots: cfg.Shots, MaxDenseQubits: cfg.MaxDenseQubits}
 	for _, pc := range workload.PaperCircuits() {
 		achieved := make([]float64, len(fleet))
 		canary := make([]float64, len(fleet))
 		valid := make([]bool, len(fleet))
+		prepared := base.PrepareCanary(pc.Circuit)
 		forEachDevice(fleet, cfg.Workers, func(i int, b *device.Backend) {
-			est := fidelity.Estimator{
-				Shots:          cfg.Shots,
-				Seed:           deviceSeed(cfg.Seed, b.Name+pc.Name),
-				MaxDenseQubits: cfg.MaxDenseQubits,
-			}
+			est := base
+			est.Seed = deviceSeed(cfg.Seed, b.Name+pc.Name)
 			ex, err := est.Execute(pc.Circuit, b)
 			if err != nil {
 				return // device not evaluable for this circuit (e.g. routed too wide)
 			}
-			cf, err := est.CanaryFidelity(pc.Circuit, b)
+			cf, err := est.ScoreCanary(prepared, b)
 			if err != nil {
 				return
 			}

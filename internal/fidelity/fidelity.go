@@ -14,6 +14,16 @@
 //
 // All comparisons use the Hellinger fidelity (Σ√(p·q))², Qiskit's
 // convention for distribution fidelity.
+//
+// Canary scoring is split in two, because a scheduler scores one circuit
+// against a whole fleet. PrepareCanary does the work that depends on the
+// circuit alone — decomposition, measurement, and selecting the ensemble
+// with its noiseless concentration runs — once per circuit, and the
+// resulting Canary memoises each member's exact ideal outcome
+// probabilities as devices ask for them. ScoreCanary does the per-device
+// work: transpile each member, deflate to the active qubits, sample the
+// device's noise, and compare. A Canary is safe to score from many
+// goroutines at once; CanaryFidelity is prepare-then-score.
 package fidelity
 
 import (
@@ -23,6 +33,7 @@ import (
 	"io"
 	"math"
 	"sort"
+	"sync"
 
 	"qrio/internal/device"
 	"qrio/internal/mapomatic"
@@ -187,36 +198,90 @@ func compactModel(b *device.Backend, active []int) *noise.Model {
 	return m
 }
 
-// CanaryFidelity estimates the fidelity circuit c would achieve on backend
-// b using the Clifford canary method, averaging over a randomised-rounding
-// canary ensemble (clifford.Ensemble). It is computable for any device
-// size — the whole point of the strategy (§3.4.1).
+// Canary is a circuit's prepared canary ensemble: everything canary
+// scoring needs that depends neither on the device nor on the estimator's
+// Seed, Shots or transpiler options. Build it with PrepareCanary and score
+// it against any number of devices, concurrently if need be.
+type Canary struct {
+	members []*canaryMember
+}
+
+// canaryMember is one ensemble circuit plus a memo of its exact ideal
+// outcome probabilities, filled in as noisy runs on devices produce
+// outcomes (devices mostly produce the same ones).
+type canaryMember struct {
+	c     *circuit.Circuit
+	mu    sync.Mutex
+	ideal map[string]float64
+}
+
+// idealProb returns the member's exact noiseless probability of bits.
+func (m *canaryMember) idealProb(bits string) (float64, error) {
+	m.mu.Lock()
+	p, ok := m.ideal[bits]
+	m.mu.Unlock()
+	if ok {
+		return p, nil
+	}
+	p, err := stabilizer.OutcomeProbability(m.c, bits)
+	if err != nil {
+		return 0, err
+	}
+	m.mu.Lock()
+	m.ideal[bits] = p
+	m.mu.Unlock()
+	return p, nil
+}
+
+// PrepareCanary builds the canary ensemble of circuit c at the
+// estimator's CanaryEnsemble size. Of the estimator it reads only
+// CanaryEnsemble.
 //
 // The ensemble is built from the *logical* circuit, so every device is
 // scored against the same reference canaries; each member is then
-// transpiled to the device under test (cliffordizing after transpilation
-// would hand every device a structurally different canary and make
-// cross-device fidelities incomparable).
-func (e Estimator) CanaryFidelity(c *circuit.Circuit, b *device.Backend) (float64, error) {
+// transpiled to the device under test by ScoreCanary (cliffordizing after
+// transpilation would hand every device a structurally different canary
+// and make cross-device fidelities incomparable).
+func (e Estimator) PrepareCanary(c *circuit.Circuit) *Canary {
+	measured := ensureMeasured(c).Decompose()
+	selected := selectCanaries(measured, e.canarySize())
+	p := &Canary{members: make([]*canaryMember, len(selected))}
+	for i, m := range selected {
+		p.members[i] = &canaryMember{c: m, ideal: make(map[string]float64)}
+	}
+	return p
+}
+
+// ScoreCanary estimates the fidelity of a prepared canary's circuit on
+// backend b: the per-device half of CanaryFidelity.
+func (e Estimator) ScoreCanary(p *Canary, b *device.Backend) (float64, error) {
 	if e.Shots <= 0 {
 		return 0, fmt.Errorf("fidelity: estimator needs positive Shots")
 	}
-	measured := ensureMeasured(c).Decompose()
-	members := selectCanaries(measured, e.canarySize())
-	shots := e.Shots / len(members)
+	shots := e.Shots / len(p.members)
 	if shots < 128 {
 		shots = 128 // member estimates need enough shots to separate the
 		// best devices, whose fidelities differ by a few percent
 	}
 	sum := 0.0
-	for k, canary := range members {
-		f, err := e.canaryMemberFidelity(canary, b, e.Seed+int64(k)*7919, shots)
+	for k, m := range p.members {
+		f, err := e.canaryMemberFidelity(m, b, e.Seed+int64(k)*7919, shots)
 		if err != nil {
 			return 0, err
 		}
 		sum += f
 	}
-	return sum / float64(len(members)), nil
+	return sum / float64(len(p.members)), nil
+}
+
+// CanaryFidelity estimates the fidelity circuit c would achieve on backend
+// b using the Clifford canary method, averaging over a randomised-rounding
+// canary ensemble (clifford.Ensemble). It is computable for any device
+// size — the whole point of the strategy (§3.4.1). Scoring one circuit
+// against many devices should prepare once and call ScoreCanary per
+// device instead.
+func (e Estimator) CanaryFidelity(c *circuit.Circuit, b *device.Backend) (float64, error) {
+	return e.ScoreCanary(e.PrepareCanary(c), b)
 }
 
 // selectCanaries picks the canary ensemble for a (decomposed, measured)
@@ -300,9 +365,10 @@ func circuitSeed(c *circuit.Circuit) int64 {
 // ideal outcome probabilities (stabilizer states have dyadic outcome
 // probabilities, so the ideal side is exact, not sampled). The ideal
 // distribution over classical bits is device-independent, so it is
-// evaluated on the logical member.
-func (e Estimator) canaryMemberFidelity(canary *circuit.Circuit, b *device.Backend, seed int64, shots int) (float64, error) {
-	tr, err := transpile.Transpile(canary, b, e.Transpile)
+// evaluated on the logical member. Outcomes are summed in sorted order,
+// so the result for a given transpiled circuit is bit-reproducible.
+func (e Estimator) canaryMemberFidelity(m *canaryMember, b *device.Backend, seed int64, shots int) (float64, error) {
+	tr, err := transpile.Transpile(m.c, b, e.Transpile)
 	if err != nil {
 		return 0, err
 	}
@@ -315,18 +381,21 @@ func (e Estimator) canaryMemberFidelity(canary *circuit.Circuit, b *device.Backe
 	if err != nil {
 		return 0, err
 	}
+	outcomes := make([]string, 0, len(noisy))
 	total := 0
-	for _, n := range noisy {
+	for bits, n := range noisy {
+		outcomes = append(outcomes, bits)
 		total += n
 	}
+	sort.Strings(outcomes)
 	s := 0.0
-	for bits, n := range noisy {
-		p, err := stabilizer.OutcomeProbability(canary, bits)
+	for _, bits := range outcomes {
+		p, err := m.idealProb(bits)
 		if err != nil {
 			return 0, err
 		}
 		if p > 0 {
-			s += math.Sqrt(p * float64(n) / float64(total))
+			s += math.Sqrt(p * float64(noisy[bits]) / float64(total))
 		}
 	}
 	return s * s, nil

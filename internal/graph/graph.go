@@ -9,13 +9,17 @@ package graph
 import (
 	"fmt"
 	"sort"
+	"sync/atomic"
 )
 
-// Graph is a simple undirected graph over vertices 0..n-1.
+// Graph is a simple undirected graph over vertices 0..n-1. Reads are safe
+// from concurrent goroutines; AddEdge is not.
 type Graph struct {
 	n    int
 	adj  [][]int
 	seen map[[2]int]bool
+	// dist caches AllPairsDistances until the next AddEdge.
+	dist atomic.Pointer[[][]int]
 }
 
 // New returns an empty graph with n vertices.
@@ -52,6 +56,7 @@ func (g *Graph) AddEdge(a, b int) error {
 		return nil
 	}
 	g.seen[key] = true
+	g.dist.Store(nil)
 	g.adj[a] = append(g.adj[a], b)
 	g.adj[b] = append(g.adj[b], a)
 	return nil
@@ -151,12 +156,20 @@ func (g *Graph) Distances(src int) []int {
 	return dist
 }
 
-// AllPairsDistances returns the full BFS distance matrix.
+// AllPairsDistances returns the full BFS distance matrix. It is computed
+// once and shared until the next AddEdge, so callers must not mutate it.
+// (Device coupling maps are built once and replaced, not edited, on
+// recalibration, so routing every circuit against one device pays for one
+// BFS sweep.)
 func (g *Graph) AllPairsDistances() [][]int {
+	if d := g.dist.Load(); d != nil {
+		return *d
+	}
 	out := make([][]int, g.n)
 	for v := 0; v < g.n; v++ {
 		out[v] = g.Distances(v)
 	}
+	g.dist.Store(&out)
 	return out
 }
 

@@ -7,7 +7,6 @@
 package meta
 
 import (
-	"container/list"
 	"fmt"
 	"math"
 	"sync"
@@ -66,8 +65,9 @@ type Options struct {
 	// "loosely matching" devices are preferred over wastefully good ones
 	// with penalty < 1 (§3.4.1's "loosely match"). Default 0.25.
 	OverTargetPenalty float64
-	// DisableScoreCache recomputes every scoring request from scratch —
-	// the seed's per-job behaviour, kept as an ablation/benchmark baseline.
+	// DisableScoreCache recomputes every score's simulation or layout
+	// search — the seed's per-job behaviour, kept as an ablation/benchmark
+	// baseline. (A circuit's prepared canary ensemble is still shared.)
 	DisableScoreCache bool
 	// CacheMaxEntries bounds the score cache with LRU eviction. Before
 	// the cap, entries lived until the backend recalibrated — a fleet
@@ -83,6 +83,12 @@ type Options struct {
 // without bound.
 const DefaultCacheMaxEntries = 65536
 
+// preparedCanaryCap bounds the prepared-canary map. A circuit's ensemble
+// is only needed while its first fleet sweep is in flight (the sweep's
+// scores land in the score cache), so a few dozen covers every job being
+// ranked at once.
+const preparedCanaryCap = 64
+
 // cacheKey identifies one memoised scoring-engine result: which backend,
 // which calibration generation of it, and the engine-input fingerprint
 // (circuit source + engine options).
@@ -92,17 +98,11 @@ type cacheKey struct {
 	fingerprint string
 }
 
-// cacheEntry is a singleflight slot: the first scorer to claim the key
-// computes under the sync.Once; concurrent scorers for the same key block
-// on it and share the result instead of re-simulating.
-type cacheEntry struct {
-	once sync.Once
-	val  float64
-	err  error
-	// elem is the entry's recency-list position (guarded by Server.mu).
-	// An evicted entry keeps working for scorers already holding it — it
-	// just stops being findable.
-	elem *list.Element
+// jobEntry is a job's stored metadata plus its engine-input fingerprint,
+// computed once at upload rather than on every (job, backend) score.
+type jobEntry struct {
+	meta        JobMeta
+	fingerprint string
 }
 
 // Server is the Meta Server's core. It is safe for concurrent use and is
@@ -112,18 +112,20 @@ type Server struct {
 
 	mu       sync.RWMutex
 	backends map[string]*device.Backend
-	jobs     map[string]JobMeta
+	jobs     map[string]jobEntry
 	// generations counts calibration uploads per backend; re-registering a
 	// backend bumps it, invalidating every cached score for that device.
 	generations map[string]uint64
-	// cache memoises the expensive scoring engines (canary simulation,
-	// subgraph layout search) per (backend, generation, fingerprint),
-	// bounded by Options.CacheMaxEntries with LRU eviction; lru orders
-	// keys most-recently-used first.
-	cache map[cacheKey]*cacheEntry
-	lru   list.List // of cacheKey
 
-	cacheHits, cacheMisses, cacheEvictions, cacheInvalidations atomic.Uint64
+	// scores memoises the expensive scoring engines (canary simulation,
+	// subgraph layout search) per (backend, generation, fingerprint),
+	// bounded by Options.CacheMaxEntries with LRU eviction.
+	scores *memo[cacheKey, float64]
+	// canaries holds prepared canary ensembles by fingerprint, so the
+	// concurrent per-backend scores of one circuit share one preparation.
+	canaries *memo[string, *fidelity.Canary]
+
+	cacheInvalidations atomic.Uint64
 }
 
 // NewServer builds a Meta Server.
@@ -137,12 +139,20 @@ func NewServer(opts Options) *Server {
 	if opts.OverTargetPenalty <= 0 {
 		opts.OverTargetPenalty = 0.25
 	}
+	cacheCap := opts.CacheMaxEntries
+	switch {
+	case cacheCap == 0:
+		cacheCap = DefaultCacheMaxEntries
+	case cacheCap < 0:
+		cacheCap = 0
+	}
 	return &Server{
 		opts:        opts,
 		backends:    make(map[string]*device.Backend),
-		jobs:        make(map[string]JobMeta),
+		jobs:        make(map[string]jobEntry),
 		generations: make(map[string]uint64),
-		cache:       make(map[cacheKey]*cacheEntry),
+		scores:      newMemo[cacheKey, float64](cacheCap),
+		canaries:    newMemo[string, *fidelity.Canary](preparedCanaryCap),
 	}
 }
 
@@ -154,27 +164,12 @@ func (s *Server) RegisterBackend(b *device.Backend) error {
 		return fmt.Errorf("meta: rejecting backend: %w", err)
 	}
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	s.backends[b.Name] = b
 	s.generations[b.Name]++
-	for k, e := range s.cache {
-		if k.backend == b.Name {
-			s.removeLocked(k, e)
-			s.cacheInvalidations.Add(1)
-		}
-	}
-	s.mu.Unlock()
+	n := s.scores.removeIf(func(k cacheKey) bool { return k.backend == b.Name })
+	s.cacheInvalidations.Add(uint64(n))
 	return nil
-}
-
-// removeLocked drops one cache entry and its recency-list position.
-// Calibration invalidations land here too; only LRU-cap evictions bump
-// the evictions counter (the caller does that).
-func (s *Server) removeLocked(k cacheKey, e *cacheEntry) {
-	delete(s.cache, k)
-	if e.elem != nil {
-		s.lru.Remove(e.elem)
-		e.elem = nil
-	}
 }
 
 // Generation reports how many times a backend has been registered; cached
@@ -198,71 +193,23 @@ type CacheStats struct {
 
 // CacheStats returns the score cache's counters.
 func (s *Server) CacheStats() CacheStats {
-	s.mu.RLock()
-	entries := len(s.cache)
-	s.mu.RUnlock()
 	return CacheStats{
-		Hits:          s.cacheHits.Load(),
-		Misses:        s.cacheMisses.Load(),
-		Evictions:     s.cacheEvictions.Load(),
+		Hits:          s.scores.hits.Load(),
+		Misses:        s.scores.misses.Load(),
+		Evictions:     s.scores.evictions.Load(),
 		Invalidations: s.cacheInvalidations.Load(),
-		Entries:       entries,
-	}
-}
-
-// cacheCap resolves the configured LRU capacity (0 = default, <0 = off).
-func (s *Server) cacheCap() int {
-	switch {
-	case s.opts.CacheMaxEntries > 0:
-		return s.opts.CacheMaxEntries
-	case s.opts.CacheMaxEntries < 0:
-		return 0
-	default:
-		return DefaultCacheMaxEntries
+		Entries:       s.scores.len(),
 	}
 }
 
 // cached memoises compute under (backendName, gen, fingerprint), where
 // gen is the calibration generation the caller read together with the
-// backend. Concurrent callers for the same key compute once. A hit
-// refreshes the entry's recency; a miss that pushes the cache past the
-// LRU cap evicts the coldest entry.
+// backend. Concurrent callers for the same key compute once.
 func (s *Server) cached(backendName string, gen uint64, fingerprint string, compute func() (float64, error)) (float64, error) {
 	if s.opts.DisableScoreCache {
 		return compute()
 	}
-	s.mu.Lock()
-	key := cacheKey{backend: backendName, gen: gen, fingerprint: fingerprint}
-	e, hit := s.cache[key]
-	if !hit {
-		e = &cacheEntry{}
-		s.cache[key] = e
-		e.elem = s.lru.PushFront(key)
-		if max := s.cacheCap(); max > 0 {
-			for len(s.cache) > max {
-				oldest := s.lru.Back()
-				k := oldest.Value.(cacheKey)
-				s.removeLocked(k, s.cache[k])
-				s.cacheEvictions.Add(1)
-			}
-		}
-	} else if e.elem != nil {
-		s.lru.MoveToFront(e.elem)
-	}
-	s.mu.Unlock()
-	if hit {
-		s.cacheHits.Add(1)
-	} else {
-		s.cacheMisses.Add(1)
-	}
-	e.once.Do(func() {
-		// Pre-set the error: if compute panics, the Once is spent and
-		// later callers would otherwise read the zero value — score 0,
-		// the best possible result. This way they get an error instead.
-		e.err = fmt.Errorf("meta: scoring %s panicked; entry poisoned until recalibration", backendName)
-		e.val, e.err = compute()
-	})
-	return e.val, e.err
+	return s.scores.get(cacheKey{backend: backendName, gen: gen, fingerprint: fingerprint}, compute)
 }
 
 // Backend returns a registered backend.
@@ -313,28 +260,40 @@ func (s *Server) PutJobMeta(m JobMeta) error {
 			return fmt.Errorf("meta: job %s topology does not parse: %w", m.JobName, err)
 		}
 	}
+	j := jobEntry{meta: m}
+	switch m.Strategy {
+	case api.StrategyFidelity:
+		j.fingerprint = s.opts.Estimator.CanaryFingerprint(m.CircuitQASM)
+	case api.StrategyTopology:
+		j.fingerprint = s.opts.Mapomatic.Fingerprint(m.TopologyQASM)
+	}
 	s.mu.Lock()
-	s.jobs[m.JobName] = m
+	s.jobs[m.JobName] = j
 	s.mu.Unlock()
 	return nil
 }
 
 // JobMeta returns stored metadata.
 func (s *Server) JobMeta(jobName string) (JobMeta, error) {
+	j, err := s.job(jobName)
+	return j.meta, err
+}
+
+func (s *Server) job(jobName string) (jobEntry, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	m, ok := s.jobs[jobName]
+	j, ok := s.jobs[jobName]
 	if !ok {
-		return JobMeta{}, fmt.Errorf("meta: no metadata for job %q", jobName)
+		return jobEntry{}, fmt.Errorf("meta: no metadata for job %q", jobName)
 	}
-	return m, nil
+	return j, nil
 }
 
 // Score answers a scoring request: the job's strategy decides the engine
 // (§3.4: "checks the database if a fidelity threshold exists for the job").
 // Lower scores are better.
 func (s *Server) Score(jobName, backendName string) (float64, error) {
-	m, err := s.JobMeta(jobName)
+	j, err := s.job(jobName)
 	if err != nil {
 		return 0, err
 	}
@@ -342,13 +301,13 @@ func (s *Server) Score(jobName, backendName string) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	switch m.Strategy {
+	switch j.meta.Strategy {
 	case api.StrategyFidelity:
-		return s.fidelityScore(m, b, gen)
+		return s.fidelityScore(j, b, gen)
 	case api.StrategyTopology:
-		return s.topologyScore(m, b, gen)
+		return s.topologyScore(j, b, gen)
 	}
-	return 0, fmt.Errorf("meta: job %s has unknown strategy %q", jobName, m.Strategy)
+	return 0, fmt.Errorf("meta: job %s has unknown strategy %q", jobName, j.meta.Strategy)
 }
 
 // fidelityScore implements the Fidelity Ranking strategy: estimate the
@@ -357,18 +316,26 @@ func (s *Server) Score(jobName, backendName string) (float64, error) {
 // fingerprint, backend, calibration generation), so jobs re-submitting the
 // same circuit pay it once per fleet calibration; the cheap target
 // comparison stays outside the cache so jobs sharing a circuit but not a
-// target still share the simulation.
-func (s *Server) fidelityScore(m JobMeta, b *device.Backend, gen uint64) (float64, error) {
-	f, err := s.cached(b.Name, gen, s.opts.Estimator.CanaryFingerprint(m.CircuitQASM), func() (float64, error) {
-		c, err := qasm.Parse(m.CircuitQASM)
+// target still share the simulation. On a miss, the circuit's canary
+// ensemble is prepared once and shared by every backend's score.
+func (s *Server) fidelityScore(j jobEntry, b *device.Backend, gen uint64) (float64, error) {
+	f, err := s.cached(b.Name, gen, j.fingerprint, func() (float64, error) {
+		canary, err := s.canaries.get(j.fingerprint, func() (*fidelity.Canary, error) {
+			c, err := qasm.Parse(j.meta.CircuitQASM)
+			if err != nil {
+				return nil, err
+			}
+			return s.opts.Estimator.PrepareCanary(c), nil
+		})
 		if err != nil {
 			return 0, err
 		}
-		return s.opts.Estimator.CanaryFidelity(c, b)
+		return s.opts.Estimator.ScoreCanary(canary, b)
 	})
 	if err != nil {
 		return 0, err
 	}
+	m := j.meta
 	if f >= m.TargetFidelity {
 		return (f - m.TargetFidelity) * s.opts.OverTargetPenalty, nil
 	}
@@ -378,9 +345,9 @@ func (s *Server) fidelityScore(m JobMeta, b *device.Backend, gen uint64) (float6
 // topologyScore implements the Topology Ranking strategy via Mapomatic,
 // with the subgraph search memoised per (topology fingerprint, backend,
 // calibration generation).
-func (s *Server) topologyScore(m JobMeta, b *device.Backend, gen uint64) (float64, error) {
-	cost, err := s.cached(b.Name, gen, s.opts.Mapomatic.Fingerprint(m.TopologyQASM), func() (float64, error) {
-		tc, err := qasm.Parse(m.TopologyQASM)
+func (s *Server) topologyScore(j jobEntry, b *device.Backend, gen uint64) (float64, error) {
+	cost, err := s.cached(b.Name, gen, j.fingerprint, func() (float64, error) {
+		tc, err := qasm.Parse(j.meta.TopologyQASM)
 		if err != nil {
 			return 0, err
 		}
@@ -394,7 +361,7 @@ func (s *Server) topologyScore(m JobMeta, b *device.Backend, gen uint64) (float6
 		return 0, err
 	}
 	if math.IsInf(cost, 1) {
-		return 0, fmt.Errorf("meta: backend %s cannot host job %s topology", b.Name, m.JobName)
+		return 0, fmt.Errorf("meta: backend %s cannot host job %s topology", b.Name, j.meta.JobName)
 	}
 	return cost, nil
 }

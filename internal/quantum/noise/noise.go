@@ -100,7 +100,8 @@ func NormPair(a, b int) [2]int {
 	return [2]int{a, b}
 }
 
-func (m *Model) oneQubitProb(q int) float64 {
+// OneQubitProb returns the error probability for a one-qubit gate on q.
+func (m *Model) OneQubitProb(q int) float64 {
 	if q < len(m.OneQubit) {
 		return m.OneQubit[q]
 	}
@@ -142,10 +143,11 @@ func (m *Model) SampleGateError(qubits []int, rng *rand.Rand) []Error {
 		return nil
 	case 1:
 		q := qubits[0]
-		if rng.Float64() >= m.oneQubitProb(q) {
+		k := DrawOneQubit(m.OneQubitProb(q), rng)
+		if k == 0 {
 			return nil
 		}
-		return []Error{{Qubit: q, Pauli: paulis[rng.Intn(3)]}}
+		return []Error{{Qubit: q, Pauli: paulis[k-1]}}
 	case 2:
 		return m.sampleTwoQubit(qubits[0], qubits[1], rng)
 	default:
@@ -159,14 +161,29 @@ func (m *Model) SampleGateError(qubits []int, rng *rand.Rand) []Error {
 	}
 }
 
-func (m *Model) sampleTwoQubit(a, b int, rng *rand.Rand) []Error {
-	p := m.TwoQubitProb(a, b)
+// DrawOneQubit samples the one-qubit depolarizing channel with error
+// probability p: 0 for no error, otherwise 1, 2 or 3 for X, Y or Z. It is
+// SampleGateError's draw for one qubit, for callers that must not allocate.
+func DrawOneQubit(p float64, rng *rand.Rand) int {
 	if rng.Float64() >= p {
-		return nil
+		return 0
 	}
-	// Pick one of the 15 non-identity two-qubit Paulis uniformly.
+	return 1 + rng.Intn(3)
+}
+
+// DrawTwoQubit samples the two-qubit depolarizing channel with error
+// probability p, returning the Pauli on each qubit (0 = I, 1..3 = X, Y, Z).
+// An error is one of the 15 non-identity two-qubit Paulis, uniformly.
+func DrawTwoQubit(p float64, rng *rand.Rand) (pa, pb int) {
+	if rng.Float64() >= p {
+		return 0, 0
+	}
 	k := rng.Intn(15) + 1 // 1..15, base-4 digits (pa, pb), never (0,0)
-	pa, pb := k%4, k/4
+	return k % 4, k / 4
+}
+
+func (m *Model) sampleTwoQubit(a, b int, rng *rand.Rand) []Error {
+	pa, pb := DrawTwoQubit(m.TwoQubitProb(a, b), rng)
 	var errs []Error
 	if pa > 0 {
 		errs = append(errs, Error{Qubit: a, Pauli: paulis[pa-1]})

@@ -9,57 +9,140 @@ import (
 	"qrio/internal/quantum/noise"
 )
 
+// opcode names one instruction of a lowered circuit: a tableau primitive
+// every Clifford gate reduces to, or a shot-level step only Runner
+// programs contain.
+type opcode uint8
+
+const (
+	opH opcode = iota
+	opS
+	opX // opX, opY, opZ stay consecutive: pauli indexes them
+	opY
+	opZ
+	opCX
+	// opMeasure measures qubit a into key position b; opMeasureNoisy then
+	// flips the outcome with probability p.
+	opMeasure
+	opMeasureNoisy
+	// opReset measures qubit a and flips it back to |0>.
+	opReset
+	// opNoise1 and opNoise2 sample the depolarizing channel with error
+	// probability p after a gate on a (and b).
+	opNoise1
+	opNoise2
+)
+
+// instr is one lowered instruction.
+type instr struct {
+	op   opcode
+	a, b int
+	p    float64
+}
+
 // ApplyGate applies a unitary Clifford gate from the circuit vocabulary.
 // Parameterised gates are accepted when their angles are multiples of π/2.
 // Non-Clifford gates return an error: callers should cliffordize first.
 func (t *Tableau) ApplyGate(g circuit.Gate) error {
+	var buf [8]instr
+	prog, err := appendGate(buf[:0], g, t.n)
+	if err != nil {
+		return err
+	}
+	for _, in := range prog {
+		t.apply(in)
+	}
+	return nil
+}
+
+// apply executes one tableau primitive.
+func (t *Tableau) apply(in instr) {
+	switch in.op {
+	case opH:
+		t.H(in.a)
+	case opS:
+		t.S(in.a)
+	case opX:
+		t.X(in.a)
+	case opY:
+		t.Y(in.a)
+	case opZ:
+		t.Z(in.a)
+	case opCX:
+		t.CX(in.a, in.b)
+	}
+}
+
+// pauli applies Pauli k (1..3 = X, Y, Z; 0 = identity) on qubit a.
+func (t *Tableau) pauli(a, k int) {
+	if k > 0 {
+		t.apply(instr{op: opX + opcode(k-1), a: a})
+	}
+}
+
+// appendGate lowers a unitary Clifford gate on an n-qubit register to
+// tableau primitives, appending them to dst. The primitive sequences are
+// the gates' definitions: sdg = Z·S, cz = H·CX·H, swap = three CX, and so
+// on.
+func appendGate(dst []instr, g circuit.Gate, n int) ([]instr, error) {
 	for _, q := range g.Qubits {
-		if q < 0 || q >= t.n {
-			return fmt.Errorf("stabilizer: qubit %d out of range (n=%d)", q, t.n)
+		if q < 0 || q >= n {
+			return nil, fmt.Errorf("stabilizer: qubit %d out of range (n=%d)", q, n)
 		}
 	}
 	q := g.Qubits
+	one := func(ops ...opcode) []instr {
+		for _, op := range ops {
+			dst = append(dst, instr{op: op, a: q[0]})
+		}
+		return dst
+	}
+	cx := func(a, b int) { dst = append(dst, instr{op: opCX, a: a, b: b}) }
 	switch g.Name {
 	case circuit.GateID, circuit.GateBarrier:
-		return nil
+		return dst, nil
 	case circuit.GateX:
-		t.X(q[0])
+		return one(opX), nil
 	case circuit.GateY:
-		t.Y(q[0])
+		return one(opY), nil
 	case circuit.GateZ:
-		t.Z(q[0])
+		return one(opZ), nil
 	case circuit.GateH:
-		t.H(q[0])
+		return one(opH), nil
 	case circuit.GateS:
-		t.S(q[0])
+		return one(opS), nil
 	case circuit.GateSdg:
-		t.Sdg(q[0])
-	case circuit.GateSX:
-		t.SX(q[0])
+		return one(opZ, opS), nil
+	case circuit.GateSX: // sqrt(X) = H·S·H up to global phase
+		return one(opH, opS, opH), nil
 	case circuit.GateCX:
-		t.CX(q[0], q[1])
+		cx(q[0], q[1])
 	case circuit.GateCZ:
-		t.CZ(q[0], q[1])
+		dst = append(dst, instr{op: opH, a: q[1]})
+		cx(q[0], q[1])
+		dst = append(dst, instr{op: opH, a: q[1]})
 	case circuit.GateCY:
-		t.Sdg(q[1])
-		t.CX(q[0], q[1])
-		t.S(q[1])
+		dst = append(dst, instr{op: opZ, a: q[1]}, instr{op: opS, a: q[1]})
+		cx(q[0], q[1])
+		dst = append(dst, instr{op: opS, a: q[1]})
 	case circuit.GateSwap:
-		t.Swap(q[0], q[1])
+		cx(q[0], q[1])
+		cx(q[1], q[0])
+		cx(q[0], q[1])
 	case circuit.GateU1, circuit.GateP, circuit.GateRZ:
-		return t.applyRZ(q[0], g.Params[0])
+		return appendRotation(dst, q[0], g.Params[0], &rzTurns)
 	case circuit.GateRX:
-		return t.applyRX(q[0], g.Params[0])
+		return appendRotation(dst, q[0], g.Params[0], &rxTurns)
 	case circuit.GateRY:
-		return t.applyRY(q[0], g.Params[0])
+		return appendRotation(dst, q[0], g.Params[0], &ryTurns)
 	case circuit.GateU2:
-		return t.applyU3(q[0], math.Pi/2, g.Params[0], g.Params[1])
+		return appendU3(dst, q[0], math.Pi/2, g.Params[0], g.Params[1])
 	case circuit.GateU3:
-		return t.applyU3(q[0], g.Params[0], g.Params[1], g.Params[2])
+		return appendU3(dst, q[0], g.Params[0], g.Params[1], g.Params[2])
 	default:
-		return fmt.Errorf("%w: %q", errNotClifford, g.Name)
+		return nil, fmt.Errorf("%w: %q", errNotClifford, g.Name)
 	}
-	return nil
+	return dst, nil
 }
 
 // quarterTurns converts an angle to its multiple of π/2 mod 4, or errors.
@@ -76,69 +159,39 @@ func quarterTurns(a float64) (int, error) {
 	return m, nil
 }
 
-func (t *Tableau) applyRZ(q int, a float64) error {
+// Quarter-turn tables: rotation k·π/2 about each axis lowers to the
+// primitives at index k (mod 4).
+var (
+	rzTurns = [4][]opcode{nil, {opS}, {opZ}, {opZ, opS}}
+	// rx(π/2) ≅ sqrt(X) = H·S·H up to global phase.
+	rxTurns = [4][]opcode{nil, {opH, opS, opH}, {opX}, {opH, opZ, opS, opH}}
+	// ry(π/2) ≅ H·Z: conjugation Z→X, X→-Z.
+	ryTurns = [4][]opcode{nil, {opZ, opH}, {opY}, {opH, opZ}}
+)
+
+// appendRotation appends a rotation by angle a about the axis whose
+// quarter-turn table is turns.
+func appendRotation(dst []instr, q int, a float64, turns *[4][]opcode) ([]instr, error) {
 	m, err := quarterTurns(a)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	switch m {
-	case 1:
-		t.S(q)
-	case 2:
-		t.Z(q)
-	case 3:
-		t.Sdg(q)
+	for _, op := range turns[m] {
+		dst = append(dst, instr{op: op, a: q})
 	}
-	return nil
+	return dst, nil
 }
 
-func (t *Tableau) applyRX(q int, a float64) error {
-	m, err := quarterTurns(a)
+// appendU3 uses u3(θ,φ,λ) ≅ rz(φ)·ry(θ)·rz(λ) up to global phase.
+func appendU3(dst []instr, q int, theta, phi, lambda float64) ([]instr, error) {
+	dst, err := appendRotation(dst, q, lambda, &rzTurns)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	switch m {
-	case 1: // rx(π/2) ≅ sqrt(X) = H·S·H up to global phase
-		t.H(q)
-		t.S(q)
-		t.H(q)
-	case 2:
-		t.X(q)
-	case 3:
-		t.H(q)
-		t.Sdg(q)
-		t.H(q)
+	if dst, err = appendRotation(dst, q, theta, &ryTurns); err != nil {
+		return nil, err
 	}
-	return nil
-}
-
-func (t *Tableau) applyRY(q int, a float64) error {
-	m, err := quarterTurns(a)
-	if err != nil {
-		return err
-	}
-	switch m {
-	case 1: // ry(π/2) ≅ H·Z: conjugation Z→X, X→-Z
-		t.Z(q)
-		t.H(q)
-	case 2:
-		t.Y(q)
-	case 3:
-		t.H(q)
-		t.Z(q)
-	}
-	return nil
-}
-
-// applyU3 uses u3(θ,φ,λ) ≅ rz(φ)·ry(θ)·rz(λ) up to global phase.
-func (t *Tableau) applyU3(q int, theta, phi, lambda float64) error {
-	if err := t.applyRZ(q, lambda); err != nil {
-		return err
-	}
-	if err := t.applyRY(q, theta); err != nil {
-		return err
-	}
-	return t.applyRZ(q, phi)
+	return appendRotation(dst, q, phi, &rzTurns)
 }
 
 // Runner executes Clifford circuits shot-by-shot, optionally under a Pauli
@@ -153,39 +206,61 @@ type Runner struct {
 // has no measurements every qubit is measured at the end in qubit order.
 // Keys use the Qiskit convention: clbit 0 is the rightmost character.
 // Registers beyond 64 bits are supported (the fleet has 100-qubit devices).
+//
+// The circuit is lowered once, then every shot resets one tableau and
+// replays the program, so allocation grows with the number of distinct
+// outcomes rather than with shots.
 func (r Runner) Counts(c *circuit.Circuit) (map[string]int, error) {
 	if r.Shots <= 0 {
 		return nil, fmt.Errorf("stabilizer: Shots must be positive, got %d", r.Shots)
 	}
+	prog, nc, err := r.lower(c)
+	if err != nil {
+		return nil, err
+	}
 	rng := rand.New(rand.NewSource(r.Seed))
-	counts := make(map[string]int)
+	t := New(c.NumQubits)
+	key := make([]byte, nc)
+	// Tallies live behind pointers so a repeated outcome is counted by a
+	// map lookup, which (unlike an assignment) does not copy the key.
+	tally := make(map[string]*int)
+	for shot := 0; shot < r.Shots; shot++ {
+		for i := range key {
+			key[i] = '0'
+		}
+		t.reset()
+		t.runShot(prog, rng, key)
+		if n := tally[string(key)]; n != nil {
+			*n++
+		} else {
+			first := 1
+			tally[string(key)] = &first
+		}
+	}
+	counts := make(map[string]int, len(tally))
+	for k, n := range tally {
+		counts[k] = *n
+	}
+	return counts, nil
+}
+
+// lower compiles the circuit into one shot's program and returns it with
+// the classical register width. Every gate's primitives and error
+// probabilities are resolved here once; the program draws from the RNG in
+// exactly the order the gates would, so counts for a seed do not depend
+// on the lowering.
+func (r Runner) lower(c *circuit.Circuit) ([]instr, int, error) {
 	hasMeasure := c.HasMeasurements()
 	nc := c.NumClbits
 	if !hasMeasure {
 		nc = c.NumQubits
 	}
-	key := make([]byte, nc)
-	for shot := 0; shot < r.Shots; shot++ {
-		for i := range key {
-			key[i] = '0'
-		}
-		if err := r.runShot(c, hasMeasure, rng, key); err != nil {
-			return nil, err
-		}
-		counts[string(key)]++
-	}
-	return counts, nil
-}
-
-// runShot executes one trajectory, writing outcome bits into key (bit i at
-// position len(key)-1-i).
-func (r Runner) runShot(c *circuit.Circuit, hasMeasure bool, rng *rand.Rand, key []byte) error {
-	t := New(c.NumQubits)
-	record := func(bit, pos int) {
-		if bit == 1 {
-			key[len(key)-1-pos] = '1'
+	var prog []instr
+	measure := func(q, pos int) {
+		if r.Model == nil {
+			prog = append(prog, instr{op: opMeasure, a: q, b: nc - 1 - pos})
 		} else {
-			key[len(key)-1-pos] = '0'
+			prog = append(prog, instr{op: opMeasureNoisy, a: q, b: nc - 1 - pos, p: r.Model.ReadoutProb(q)})
 		}
 	}
 	for _, g := range c.Gates {
@@ -193,43 +268,56 @@ func (r Runner) runShot(c *circuit.Circuit, hasMeasure bool, rng *rand.Rand, key
 		case circuit.GateBarrier:
 			continue
 		case circuit.GateReset:
-			t.Reset(g.Qubits[0], rng)
+			prog = append(prog, instr{op: opReset, a: g.Qubits[0]})
 			continue
 		case circuit.GateMeasure:
-			q := g.Qubits[0]
-			bit := t.Measure(q, rng)
-			if r.Model != nil && rng.Float64() < r.Model.ReadoutProb(q) {
-				bit ^= 1
-			}
-			record(bit, g.Clbits[0])
+			measure(g.Qubits[0], g.Clbits[0])
 			continue
 		}
-		if err := t.ApplyGate(g); err != nil {
-			return err
+		var err error
+		if prog, err = appendGate(prog, g, c.NumQubits); err != nil {
+			return nil, 0, err
 		}
 		if r.Model != nil && g.Name != circuit.GateID {
-			for _, e := range r.Model.SampleGateError(g.Qubits, rng) {
-				switch e.Pauli {
-				case noise.PauliX:
-					t.X(e.Qubit)
-				case noise.PauliY:
-					t.Y(e.Qubit)
-				case noise.PauliZ:
-					t.Z(e.Qubit)
-				}
+			switch q := g.Qubits; len(q) {
+			case 1:
+				prog = append(prog, instr{op: opNoise1, a: q[0], p: r.Model.OneQubitProb(q[0])})
+			case 2:
+				prog = append(prog, instr{op: opNoise2, a: q[0], b: q[1], p: r.Model.TwoQubitProb(q[0], q[1])})
 			}
 		}
 	}
 	if !hasMeasure {
 		for q := 0; q < c.NumQubits; q++ {
-			bit := t.Measure(q, rng)
-			if r.Model != nil && rng.Float64() < r.Model.ReadoutProb(q) {
-				bit ^= 1
-			}
-			record(bit, q)
+			measure(q, q)
 		}
 	}
-	return nil
+	return prog, nc, nil
+}
+
+// runShot executes one trajectory from |0...0>, writing outcome bits into
+// key.
+func (t *Tableau) runShot(prog []instr, rng *rand.Rand, key []byte) {
+	for _, in := range prog {
+		switch in.op {
+		case opMeasure, opMeasureNoisy:
+			bit := t.Measure(in.a, rng)
+			if in.op == opMeasureNoisy && rng.Float64() < in.p {
+				bit ^= 1
+			}
+			key[in.b] = '0' + byte(bit)
+		case opReset:
+			t.Reset(in.a, rng)
+		case opNoise1:
+			t.pauli(in.a, noise.DrawOneQubit(in.p, rng))
+		case opNoise2:
+			pa, pb := noise.DrawTwoQubit(in.p, rng)
+			t.pauli(in.a, pa)
+			t.pauli(in.b, pb)
+		default:
+			t.apply(in)
+		}
+	}
 }
 
 // FormatBits renders a basis index as a Qiskit-style bitstring (bit 0

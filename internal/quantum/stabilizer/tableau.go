@@ -5,22 +5,32 @@
 // — both noiselessly (for the reference distribution) and under sampled
 // Pauli noise (for the per-device canary fidelity) — even at the fleet's
 // 100-qubit device sizes where dense simulation is impossible.
+//
+// Runner.Counts does the per-circuit work once per call: it lowers every
+// gate to tableau primitives and resolves its error probabilities, then
+// replays that program shot after shot on one tableau reset in place. The
+// work shared across devices — choosing canaries and their exact ideal
+// outcome probabilities (OutcomeProbability) — is memoised a layer up, by
+// package fidelity; each device costs one noisy Counts per canary.
 package stabilizer
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 )
 
 // Tableau is the stabilizer tableau of an n-qubit state. Rows 0..n-1 are
 // destabilizer generators, rows n..2n-1 stabilizer generators, and row 2n a
-// scratch row used during measurement. Bits are packed into uint64 words.
+// scratch row used during measurement. Bits are packed into uint64 words,
+// each part one contiguous block (xs, zs) that x and z slice into rows:
+// gates stride through the block, row operations use the row slices.
 type Tableau struct {
-	n     int
-	words int
-	x     [][]uint64 // X-part bits, (2n+1) rows
-	z     [][]uint64 // Z-part bits
-	r     []uint8    // sign bits (0 = +, 1 = -)
+	n      int
+	words  int
+	x, z   [][]uint64 // X- and Z-part bits, (2n+1) rows
+	xs, zs []uint64   // the blocks behind x and z
+	r      []uint8    // sign bits (0 = +, 1 = -)
 }
 
 // New returns the tableau of |0...0>: destabilizers X_i, stabilizers Z_i.
@@ -32,20 +42,31 @@ func New(n int) *Tableau {
 	if words == 0 {
 		words = 1
 	}
-	t := &Tableau{n: n, words: words}
 	rows := 2*n + 1
-	t.x = make([][]uint64, rows)
-	t.z = make([][]uint64, rows)
-	t.r = make([]uint8, rows)
+	t := &Tableau{
+		n: n, words: words,
+		x: make([][]uint64, rows), z: make([][]uint64, rows),
+		xs: make([]uint64, rows*words), zs: make([]uint64, rows*words),
+		r: make([]uint8, rows),
+	}
 	for i := range t.x {
-		t.x[i] = make([]uint64, words)
-		t.z[i] = make([]uint64, words)
+		t.x[i] = t.xs[i*words : (i+1)*words : (i+1)*words]
+		t.z[i] = t.zs[i*words : (i+1)*words : (i+1)*words]
 	}
-	for i := 0; i < n; i++ {
-		setBit(t.x[i], i)   // destabilizer i = X_i
-		setBit(t.z[i+n], i) // stabilizer i = Z_i
-	}
+	t.reset()
 	return t
+}
+
+// reset returns the tableau to |0...0> in place, so a shot loop can reuse
+// one tableau instead of allocating a new one per shot.
+func (t *Tableau) reset() {
+	clear(t.xs)
+	clear(t.zs)
+	clear(t.r)
+	for i := 0; i < t.n; i++ {
+		setBit(t.x[i], i)     // destabilizer i = X_i
+		setBit(t.z[i+t.n], i) // stabilizer i = Z_i
+	}
 }
 
 // NumQubits returns the register size.
@@ -53,46 +74,40 @@ func (t *Tableau) NumQubits() int { return t.n }
 
 // Copy returns a deep copy of the tableau.
 func (t *Tableau) Copy() *Tableau {
-	c := &Tableau{n: t.n, words: t.words}
-	c.x = make([][]uint64, len(t.x))
-	c.z = make([][]uint64, len(t.z))
-	c.r = append([]uint8(nil), t.r...)
-	for i := range t.x {
-		c.x[i] = append([]uint64(nil), t.x[i]...)
-		c.z[i] = append([]uint64(nil), t.z[i]...)
-	}
+	c := New(t.n)
+	copy(c.xs, t.xs)
+	copy(c.zs, t.zs)
+	copy(c.r, t.r)
 	return c
 }
 
-func setBit(w []uint64, i int)   { w[i>>6] |= 1 << uint(i&63) }
-func clearBit(w []uint64, i int) { w[i>>6] &^= 1 << uint(i&63) }
+func setBit(w []uint64, i int) { w[i>>6] |= 1 << uint(i&63) }
 func getBit(w []uint64, i int) uint8 {
 	return uint8((w[i>>6] >> uint(i&63)) & 1)
 }
-func assignBit(w []uint64, i int, v uint8) {
-	if v != 0 {
-		setBit(w, i)
-	} else {
-		clearBit(w, i)
-	}
-}
+
+// The gates below visit qubit a's word in every generator row by striding
+// through the xs and zs blocks from index a>>6, with a's bit at shift sh.
 
 // H applies a Hadamard on qubit a.
 func (t *Tableau) H(a int) {
-	for i := 0; i < 2*t.n; i++ {
-		xa, za := getBit(t.x[i], a), getBit(t.z[i], a)
-		t.r[i] ^= xa & za
-		assignBit(t.x[i], a, za)
-		assignBit(t.z[i], a, xa)
+	sh := uint(a & 63)
+	for i, k := 0, a>>6; i < 2*t.n; i, k = i+1, k+t.words {
+		x, z := t.xs[k], t.zs[k]
+		flip := (x ^ z) & (1 << sh) // swap the bits only when they differ
+		t.r[i] ^= uint8(x & z >> sh & 1)
+		t.xs[k] = x ^ flip
+		t.zs[k] = z ^ flip
 	}
 }
 
 // S applies the phase gate diag(1, i) on qubit a.
 func (t *Tableau) S(a int) {
-	for i := 0; i < 2*t.n; i++ {
-		xa, za := getBit(t.x[i], a), getBit(t.z[i], a)
-		t.r[i] ^= xa & za
-		assignBit(t.z[i], a, za^xa)
+	sh := uint(a & 63)
+	for i, k := 0, a>>6; i < 2*t.n; i, k = i+1, k+t.words {
+		x, z := t.xs[k], t.zs[k]
+		t.r[i] ^= uint8(x & z >> sh & 1)
+		t.zs[k] = z ^ x&(1<<sh)
 	}
 }
 
@@ -104,33 +119,37 @@ func (t *Tableau) Sdg(a int) {
 
 // X applies a Pauli X on qubit a.
 func (t *Tableau) X(a int) {
-	for i := 0; i < 2*t.n; i++ {
-		t.r[i] ^= getBit(t.z[i], a)
+	sh := uint(a & 63)
+	for i, k := 0, a>>6; i < 2*t.n; i, k = i+1, k+t.words {
+		t.r[i] ^= uint8(t.zs[k] >> sh & 1)
 	}
 }
 
 // Z applies a Pauli Z on qubit a.
 func (t *Tableau) Z(a int) {
-	for i := 0; i < 2*t.n; i++ {
-		t.r[i] ^= getBit(t.x[i], a)
+	sh := uint(a & 63)
+	for i, k := 0, a>>6; i < 2*t.n; i, k = i+1, k+t.words {
+		t.r[i] ^= uint8(t.xs[k] >> sh & 1)
 	}
 }
 
 // Y applies a Pauli Y on qubit a.
 func (t *Tableau) Y(a int) {
-	for i := 0; i < 2*t.n; i++ {
-		t.r[i] ^= getBit(t.x[i], a) ^ getBit(t.z[i], a)
+	sh := uint(a & 63)
+	for i, k := 0, a>>6; i < 2*t.n; i, k = i+1, k+t.words {
+		t.r[i] ^= uint8((t.xs[k] ^ t.zs[k]) >> sh & 1)
 	}
 }
 
 // CX applies controlled-X with control a and target b.
 func (t *Tableau) CX(a, b int) {
-	for i := 0; i < 2*t.n; i++ {
-		xa, za := getBit(t.x[i], a), getBit(t.z[i], a)
-		xb, zb := getBit(t.x[i], b), getBit(t.z[i], b)
-		t.r[i] ^= xa & zb & (xb ^ za ^ 1)
-		assignBit(t.x[i], b, xb^xa)
-		assignBit(t.z[i], a, za^zb)
+	sa, sb := uint(a&63), uint(b&63)
+	for i, ka, kb := 0, a>>6, b>>6; i < 2*t.n; i, ka, kb = i+1, ka+t.words, kb+t.words {
+		xa, za := t.xs[ka]>>sa&1, t.zs[ka]>>sa&1
+		xb, zb := t.xs[kb]>>sb&1, t.zs[kb]>>sb&1
+		t.r[i] ^= uint8(xa & zb & (xb ^ za ^ 1))
+		t.xs[kb] ^= xa << sb
+		t.zs[ka] ^= zb << sa
 	}
 }
 
@@ -155,37 +174,28 @@ func (t *Tableau) SX(a int) {
 	t.H(a)
 }
 
-// g is the phase exponent contribution when multiplying single-qubit Pauli
-// (x1,z1) into (x2,z2); see Aaronson & Gottesman, PRA 70, 052328 (2004).
-func g(x1, z1, x2, z2 uint8) int {
-	switch {
-	case x1 == 0 && z1 == 0:
-		return 0
-	case x1 == 1 && z1 == 1:
-		return int(z2) - int(x2)
-	case x1 == 1 && z1 == 0:
-		return int(z2) * (2*int(x2) - 1)
-	default: // x1 == 0 && z1 == 1
-		return int(x2) * (1 - 2*int(z2))
-	}
-}
-
-// rowsum multiplies generator row i into row h, tracking the sign.
+// rowsum multiplies generator row i into row h, tracking the sign. The
+// phase exponent sums, over qubits, the contribution g of multiplying
+// single-qubit Pauli (x1,z1) of row i into (x2,z2) of row h (Aaronson &
+// Gottesman, PRA 70, 052328 (2004)): +1 for X·Y, Y·Z and Z·X, -1 for the
+// reverse orders, 0 otherwise. Each word counts its +1 and -1 qubits at
+// once.
 func (t *Tableau) rowsum(h, i int) {
 	phase := 2*int(t.r[h]) + 2*int(t.r[i])
-	for j := 0; j < t.n; j++ {
-		phase += g(getBit(t.x[i], j), getBit(t.z[i], j),
-			getBit(t.x[h], j), getBit(t.z[h], j))
+	for w := 0; w < t.words; w++ {
+		x1, z1 := t.x[i][w], t.z[i][w]
+		x2, z2 := t.x[h][w], t.z[h][w]
+		plus := x1&z1&z2&^x2 | x1&^z1&x2&z2 | z1&^x1&x2&^z2
+		minus := x1&z1&x2&^z2 | x1&^z1&z2&^x2 | z1&^x1&x2&z2
+		phase += bits.OnesCount64(plus) - bits.OnesCount64(minus)
+		t.x[h][w] = x2 ^ x1
+		t.z[h][w] = z2 ^ z1
 	}
 	phase = ((phase % 4) + 4) % 4
 	if phase == 0 {
 		t.r[h] = 0
 	} else {
 		t.r[h] = 1 // phase is guaranteed to be 0 or 2 for valid tableaus
-	}
-	for w := 0; w < t.words; w++ {
-		t.x[h][w] ^= t.x[i][w]
-		t.z[h][w] ^= t.z[i][w]
 	}
 }
 

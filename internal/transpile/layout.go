@@ -19,7 +19,13 @@ func chooseLayout(c *circuit.Circuit, b *device.Backend, opts Options) ([]int, b
 	layout := make([]int, n)
 	interactions := c.InteractionGraph()
 
-	// Build the interaction graph over all logical qubits.
+	// Build the interaction graph over all logical qubits. Its edges go
+	// in in map order, so VF2 may find a different first embedding from
+	// call to call; on the Table 2 fleet that moves canary scores of
+	// non-best devices by up to ~8e-3 between processes. Sorting the edges
+	// would make layouts reproducible, but it also moves one golden
+	// cold-fleet circuit's best score by ~1e-3, so it waits for a
+	// benchmark change that can regenerate the golden placements.
 	ig := graph.New(n)
 	type wedge struct {
 		a, b int
